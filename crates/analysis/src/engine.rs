@@ -203,20 +203,31 @@ struct EngineExtras {
 }
 
 /// The distributed analysis engine of one analyzer rank.
+///
+/// The board's knowledge sources capture only the shared `EngineState`,
+/// never the board itself: a knowledge source is handed the board it runs
+/// on, so the board's registry and the state form no reference cycle, and
+/// dropping the last engine handle frees the board, every application
+/// slot and whatever the snapshot hook holds.
 #[derive(Clone)]
 pub struct AnalysisEngine {
     bb: Blackboard,
-    apps: Arc<Mutex<HashMap<u16, Arc<AppSlot>>>>,
+    state: Arc<EngineState>,
+}
+
+/// Everything the engine's knowledge sources share.
+struct EngineState {
+    apps: Mutex<HashMap<u16, Arc<AppSlot>>>,
     cfg: EngineConfig,
-    extras: Arc<Mutex<EngineExtras>>,
+    extras: Mutex<EngineExtras>,
     /// Packs unpacked across every level; drives the publication cadence.
-    pack_ticker: Arc<std::sync::atomic::AtomicU64>,
+    pack_ticker: std::sync::atomic::AtomicU64,
     /// Serializes snapshot-taking with hook delivery. Two dispatcher
     /// workers can hit a publication boundary concurrently; without the
     /// gate the later worker can snapshot *newer* aggregates yet deliver
     /// them to the store *before* the earlier worker's older snapshot,
     /// making per-version series (metrics window counts) non-monotone.
-    publish_gate: Arc<Mutex<()>>,
+    publish_gate: Mutex<()>,
 }
 
 fn level_name(app_id: u16) -> String {
@@ -237,11 +248,13 @@ impl AnalysisEngine {
         });
         let engine = AnalysisEngine {
             bb,
-            apps: Arc::new(Mutex::new(HashMap::new())),
-            cfg,
-            extras: Arc::new(Mutex::new(EngineExtras::default())),
-            pack_ticker: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            publish_gate: Arc::new(Mutex::new(())),
+            state: Arc::new(EngineState {
+                apps: Mutex::new(HashMap::new()),
+                cfg,
+                extras: Mutex::new(EngineExtras::default()),
+                pack_ticker: std::sync::atomic::AtomicU64::new(0),
+                publish_gate: Mutex::new(()),
+            }),
         };
         engine.register_dispatcher();
         engine
@@ -251,21 +264,21 @@ impl AnalysisEngine {
     /// late-receiver attribution) on every application level. Call before
     /// any packs arrive.
     pub fn enable_waitstate(&self) {
-        self.extras.lock().waitstate = true;
+        self.state.extras.lock().waitstate = true;
     }
 
     /// Enables the time-resolved standard-metrics KS on every application
     /// level: the event stream is folded into per-window, per-rank integer
     /// cells (see `opmr_metrics`). Call before any packs arrive.
     pub fn enable_metrics(&self, cfg: MetricsConfig) {
-        self.extras.lock().metrics = Some(cfg);
+        self.state.extras.lock().metrics = Some(cfg);
     }
 
     /// Attaches a selective-trace IO proxy: events surviving `selection`
     /// are re-encoded into `dir/app<N>_selected.opmr`. Call before any
     /// packs arrive.
     pub fn attach_trace_proxy(&self, dir: impl Into<std::path::PathBuf>, selection: Selection) {
-        self.extras.lock().proxy = Some((dir.into(), selection));
+        self.state.extras.lock().proxy = Some((dir.into(), selection));
     }
 
     /// Publishes a report snapshot every `every_packs` unpacked packs: the
@@ -273,7 +286,7 @@ impl AnalysisEngine {
     /// aggregates (the serve-plane window boundary). Call before any packs
     /// arrive.
     pub fn attach_snapshot_publisher(&self, every_packs: u64, hook: SnapshotHook) {
-        self.extras.lock().publisher = Some((every_packs.max(1), hook));
+        self.state.extras.lock().publisher = Some((every_packs.max(1), hook));
     }
 
     /// The engine's current per-application partial aggregates, taken
@@ -281,6 +294,97 @@ impl AnalysisEngine {
     /// own lock, so a single application's aggregate is internally
     /// consistent; cross-application skew is bounded by in-flight jobs.
     pub fn snapshot_partials(&self) -> Vec<crate::wire::AppPartial> {
+        self.state.snapshot_partials()
+    }
+
+    /// Names an application (otherwise reports say "app\<N\>").
+    pub fn set_app_name(&self, app_id: u16, name: &str) {
+        let slot = self.state.slot(app_id);
+        *slot.name.lock() = name.to_string();
+    }
+
+    /// Underlying blackboard (for custom knowledge sources).
+    pub fn blackboard(&self) -> &Blackboard {
+        &self.bb
+    }
+
+    /// Starts the worker pool.
+    pub fn start(&self) {
+        self.bb.start();
+    }
+
+    /// Posts one received stream block (exactly one encoded event pack).
+    pub fn post_block(&self, block: Bytes) {
+        self.bb.post(DataEntry::bytes(raw_ty(), block));
+    }
+
+    fn register_dispatcher(&self) {
+        let state = Arc::clone(&self.state);
+        self.bb.register(KnowledgeSource::new(
+            "dispatcher",
+            vec![raw_ty()],
+            move |bb, entries| {
+                let Some(bytes) = entries[0].payload().as_bytes() else {
+                    return;
+                };
+                let mut view: &[u8] = bytes;
+                // Any known wire version routes — the dispatcher only
+                // needs the app id; the unpacker picks the event codec.
+                let Ok((header, _version)) = codec::decode_header_any(&mut view) else {
+                    // Unparseable block: account it to app 0's error count.
+                    state.slot(0).data.lock().decode_errors += 1;
+                    return;
+                };
+                EngineState::ensure_level(&state, bb, header.app_id);
+                let level = level_name(header.app_id);
+                bb.post(DataEntry::bytes(type_id(&level, "pack"), bytes.clone()));
+            },
+        ));
+    }
+
+    /// Waits for quiescence, stops the workers and assembles the report.
+    pub fn finish(self) -> MultiReport {
+        self.bb.stop();
+        let mut apps: Vec<Arc<AppSlot>> = self.state.apps.lock().values().cloned().collect();
+        apps.sort_by_key(|s| s.app_id);
+        let reports = apps
+            .into_iter()
+            .map(|slot| {
+                let name = slot.name.lock().clone();
+                let mut data = slot.data.lock();
+                let density = stock_density_maps(&data.profile);
+                let waitstate = data.waitstate.as_mut().map(|ws| ws.finish().clone());
+                let metrics = data.metrics.clone();
+                let proxy = data.proxy.take().map(|p| {
+                    let path = p.path().to_path_buf();
+                    let (seen, written) = p.finish(slot.app_id).unwrap_or((0, 0));
+                    (path, seen, written)
+                });
+                AppReport {
+                    app_id: slot.app_id,
+                    name,
+                    ranks: data.profile.ranks(),
+                    events: data.profile.events(),
+                    packs: data.packs,
+                    wire_bytes: data.wire_bytes,
+                    decode_errors: data.decode_errors,
+                    profile: data.profile.clone(),
+                    topology: data.topology.clone(),
+                    timeline: data.timeline.as_ref().map(|t| t.snapshot()),
+                    density,
+                    waitstate,
+                    metrics,
+                    proxy,
+                }
+            })
+            .collect();
+        MultiReport { apps: reports }
+    }
+}
+
+impl EngineState {
+    /// See [`AnalysisEngine::snapshot_partials`].
+    fn snapshot_partials(&self) -> Vec<crate::wire::AppPartial> {
         let mut slots: Vec<Arc<AppSlot>> = self.apps.lock().values().cloned().collect();
         slots.sort_by_key(|s| s.app_id);
         slots
@@ -299,27 +403,6 @@ impl AnalysisEngine {
                 }
             })
             .collect()
-    }
-
-    /// Names an application (otherwise reports say "app\<N\>").
-    pub fn set_app_name(&self, app_id: u16, name: &str) {
-        let slot = self.slot(app_id);
-        *slot.name.lock() = name.to_string();
-    }
-
-    /// Underlying blackboard (for custom knowledge sources).
-    pub fn blackboard(&self) -> &Blackboard {
-        &self.bb
-    }
-
-    /// Starts the worker pool.
-    pub fn start(&self) {
-        self.bb.start();
-    }
-
-    /// Posts one received stream block (exactly one encoded event pack).
-    pub fn post_block(&self, block: Bytes) {
-        self.bb.post(DataEntry::bytes(raw_ty(), block));
     }
 
     fn slot(&self, app_id: u16) -> Arc<AppSlot> {
@@ -343,43 +426,20 @@ impl AnalysisEngine {
         slot
     }
 
-    fn register_dispatcher(&self) {
-        let engine = self.clone();
-        self.bb.register(KnowledgeSource::new(
-            "dispatcher",
-            vec![raw_ty()],
-            move |bb, entries| {
-                let Some(bytes) = entries[0].payload().as_bytes() else {
-                    return;
-                };
-                let mut view: &[u8] = bytes;
-                // Any known wire version routes — the dispatcher only
-                // needs the app id; the unpacker picks the event codec.
-                let Ok((header, _version)) = codec::decode_header_any(&mut view) else {
-                    // Unparseable block: account it to app 0's error count.
-                    engine.slot(0).data.lock().decode_errors += 1;
-                    return;
-                };
-                engine.ensure_level(header.app_id);
-                let level = level_name(header.app_id);
-                bb.post(DataEntry::bytes(type_id(&level, "pack"), bytes.clone()));
-            },
-        ));
-    }
-
     /// Registers the per-level stock KSs once per application
     /// (the multi-level blackboard of Figure 5).
-    fn ensure_level(&self, app_id: u16) {
-        let slot = self.slot(app_id);
+    fn ensure_level(this: &Arc<EngineState>, bb: &Blackboard, app_id: u16) {
+        let slot = this.slot(app_id);
         // Exactly-once wiring, even when two dispatcher jobs race on the
         // first packs of a new application. `call_once` blocks the losers
         // until the winner has registered every KS: with a plain flag a
         // losing dispatcher could post its pack before the level was
         // sensitive to it, and the blackboard silently dropped the entry.
-        slot.wired.call_once(|| self.wire_level(&slot, app_id));
+        slot.wired
+            .call_once(|| EngineState::wire_level(this, bb, &slot, app_id));
     }
 
-    fn wire_level(&self, slot: &Arc<AppSlot>, app_id: u16) {
+    fn wire_level(this: &Arc<EngineState>, bb: &Blackboard, slot: &Arc<AppSlot>, app_id: u16) {
         let level = level_name(app_id);
         let ty_pack = type_id(&level, "pack");
         let ty_events = type_id(&level, "events");
@@ -388,9 +448,8 @@ impl AnalysisEngine {
         // hook fires with the engine's current aggregates. The hook runs
         // with no slot lock held (snapshot_partials re-locks each slot).
         let uslot = Arc::clone(slot);
-        let uengine = self.clone();
-        let publisher = self.extras.lock().publisher.clone();
-        let ticker = Arc::clone(&self.pack_ticker);
+        let ustate = Arc::clone(this);
+        let publisher = this.extras.lock().publisher.clone();
         let unpacker = KnowledgeSource::new(
             &format!("unpacker/{level}"),
             vec![ty_pack],
@@ -407,7 +466,10 @@ impl AnalysisEngine {
                         }
                         bb.post(DataEntry::value(ty_events, pack));
                         if let Some((every, hook)) = &publisher {
-                            let t = ticker.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                            let t = ustate
+                                .pack_ticker
+                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                                + 1;
                             if t.is_multiple_of(*every) {
                                 // Snapshot and publish under the gate:
                                 // aggregates only grow, so serializing
@@ -415,8 +477,8 @@ impl AnalysisEngine {
                                 // versions monotone (in particular the
                                 // metrics window counts) even when two
                                 // workers hit the boundary at once.
-                                let _publish = uengine.publish_gate.lock();
-                                hook(uengine.snapshot_partials());
+                                let _publish = ustate.publish_gate.lock();
+                                hook(ustate.snapshot_partials());
                             }
                         }
                     }
@@ -465,16 +527,16 @@ impl AnalysisEngine {
             },
         );
 
-        self.bb.register(unpacker);
-        self.bb.register(profiler);
-        self.bb.register(topology);
-        self.bb.register(timeline);
+        bb.register(unpacker);
+        bb.register(profiler);
+        bb.register(topology);
+        bb.register(timeline);
 
-        let extras = self.extras.lock();
+        let extras = this.extras.lock();
         if extras.waitstate {
             slot.data.lock().waitstate = Some(WaitStateAnalysis::new());
             let wslot = Arc::clone(slot);
-            self.bb.register(KnowledgeSource::new(
+            bb.register(KnowledgeSource::new(
                 &format!("waitstate/{level}"),
                 vec![ty_events],
                 move |_bb, entries| {
@@ -492,7 +554,7 @@ impl AnalysisEngine {
         if let Some(mcfg) = extras.metrics {
             slot.data.lock().metrics = Some(MetricsSeries::new(mcfg.window_ns));
             let mslot = Arc::clone(slot);
-            self.bb.register(KnowledgeSource::new(
+            bb.register(KnowledgeSource::new(
                 &format!("metrics/{level}"),
                 vec![ty_events],
                 move |_bb, entries| {
@@ -510,7 +572,7 @@ impl AnalysisEngine {
             if let Ok(proxy) = TraceProxy::create(&path, selection) {
                 let handle = proxy.handle();
                 slot.data.lock().proxy = Some(proxy);
-                self.bb.register(KnowledgeSource::new(
+                bb.register(KnowledgeSource::new(
                     &format!("trace-proxy/{level}"),
                     vec![ty_events],
                     move |_bb, entries| {
@@ -521,45 +583,6 @@ impl AnalysisEngine {
                 ));
             }
         }
-    }
-
-    /// Waits for quiescence, stops the workers and assembles the report.
-    pub fn finish(self) -> MultiReport {
-        self.bb.stop();
-        let mut apps: Vec<Arc<AppSlot>> = self.apps.lock().values().cloned().collect();
-        apps.sort_by_key(|s| s.app_id);
-        let reports = apps
-            .into_iter()
-            .map(|slot| {
-                let name = slot.name.lock().clone();
-                let mut data = slot.data.lock();
-                let density = stock_density_maps(&data.profile);
-                let waitstate = data.waitstate.as_mut().map(|ws| ws.finish().clone());
-                let metrics = data.metrics.clone();
-                let proxy = data.proxy.take().map(|p| {
-                    let path = p.path().to_path_buf();
-                    let (seen, written) = p.finish(slot.app_id).unwrap_or((0, 0));
-                    (path, seen, written)
-                });
-                AppReport {
-                    app_id: slot.app_id,
-                    name,
-                    ranks: data.profile.ranks(),
-                    events: data.profile.events(),
-                    packs: data.packs,
-                    wire_bytes: data.wire_bytes,
-                    decode_errors: data.decode_errors,
-                    profile: data.profile.clone(),
-                    topology: data.topology.clone(),
-                    timeline: data.timeline.as_ref().map(|t| t.snapshot()),
-                    density,
-                    waitstate,
-                    metrics,
-                    proxy,
-                }
-            })
-            .collect();
-        MultiReport { apps: reports }
     }
 }
 
@@ -759,5 +782,38 @@ mod tests {
             assert_eq!(report.apps[0].packs, 8, "round {round}: lost first packs");
             assert_eq!(report.apps[0].events, 8, "round {round}");
         }
+    }
+
+    #[test]
+    fn finished_engine_frees_its_state() {
+        // The knowledge sources must not keep the engine alive: once the
+        // last handle is gone (finish consumes it), the board, every
+        // application slot and the snapshot hook's captures are freed.
+        let engine = AnalysisEngine::new(EngineConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        engine.enable_waitstate();
+        engine.enable_metrics(MetricsConfig { window_ns: 1000 });
+        let store = Arc::new(Mutex::new(0usize));
+        let sink = Arc::clone(&store);
+        engine.attach_snapshot_publisher(1, Arc::new(move |parts| *sink.lock() += parts.len()));
+        let state = Arc::downgrade(&engine.state);
+        engine.start();
+        for app in 0..3u16 {
+            engine.post_block(pack(app, 0, 0, vec![send(0, 1, 8)]));
+        }
+        let report = engine.finish();
+        assert_eq!(report.apps.len(), 3);
+        assert!(*store.lock() > 0, "the publisher ran");
+        assert!(
+            state.upgrade().is_none(),
+            "a finished engine must not keep its own state alive"
+        );
+        assert_eq!(
+            Arc::strong_count(&store),
+            1,
+            "the snapshot hook (and what it captures) is freed with the engine"
+        );
     }
 }

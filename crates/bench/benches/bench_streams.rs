@@ -1,9 +1,11 @@
 //! Ablation: VMPI stream throughput vs `NA` (async window), block size and
-//! load-balancing policy — DESIGN.md's stream ablation.
+//! load-balancing policy — DESIGN.md's stream ablation — plus the cost of
+//! the frame integrity check every socket, serve and reduce frame carries.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // bench harness code
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use opmr_events::{checksum, try_frame, FrameBuf};
 use opmr_runtime::Launcher;
 use opmr_vmpi::{Balance, ReadMode, ReadStream, StreamConfig, Vmpi, WriteStream};
 
@@ -96,10 +98,58 @@ fn bench_balance_policy(c: &mut Criterion) {
     g.finish();
 }
 
+/// Bytes framed per timed call, so small frames are not lost in timer
+/// resolution.
+const FRAME_BYTES_PER_ITER: usize = 16 << 20;
+
+/// One frame hop as the socket transport pays it: `try_frame` on the
+/// sender (copy + checksum) and `FrameBuf::push` + `next_frame` on the
+/// receiver (copy + verification), reported in ns per payload byte; and
+/// the bare checksum for comparison.
+fn bench_frame(c: &mut Criterion) {
+    let payloads: Vec<(&str, Vec<u8>)> = [
+        ("1KiB", 1usize << 10),
+        ("64KiB", 64 << 10),
+        ("1MiB", 1 << 20),
+    ]
+    .into_iter()
+    .map(|(name, len)| (name, (0..len).map(|i| (i * 131 + 7) as u8).collect()))
+    .collect();
+    let mut g = c.benchmark_group("frame_roundtrip");
+    g.throughput(Throughput::Bytes(FRAME_BYTES_PER_ITER as u64));
+    g.sample_size(10);
+    for (name, payload) in &payloads {
+        g.bench_with_input(BenchmarkId::from_parameter(name), payload, |b, payload| {
+            b.iter(|| {
+                let mut fb = FrameBuf::new();
+                for _ in 0..FRAME_BYTES_PER_ITER / payload.len() {
+                    fb.push(&try_frame(payload).unwrap());
+                    black_box(fb.next_frame().unwrap().unwrap());
+                }
+            });
+        });
+    }
+    g.finish();
+    let mut g = c.benchmark_group("frame_checksum");
+    g.throughput(Throughput::Bytes(FRAME_BYTES_PER_ITER as u64));
+    g.sample_size(10);
+    for (name, payload) in &payloads {
+        g.bench_with_input(BenchmarkId::from_parameter(name), payload, |b, payload| {
+            b.iter(|| {
+                for _ in 0..FRAME_BYTES_PER_ITER / payload.len() {
+                    black_box(checksum(black_box(payload)));
+                }
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_window_depth,
     bench_block_size,
-    bench_balance_policy
+    bench_balance_policy,
+    bench_frame
 );
 criterion_main!(benches);

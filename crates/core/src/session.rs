@@ -774,6 +774,12 @@ impl SessionBuilder {
             });
         }
 
+        // The analyzer partition, and with it the merged report, lives on
+        // process 0 (see `run_multiproc`).
+        let hosts_analyzer = match &plan {
+            LaunchPlan::InProc => true,
+            LaunchPlan::Socket { proc_index, .. } => *proc_index == 0,
+        };
         let t0 = std::time::Instant::now();
         match plan {
             LaunchPlan::InProc => launcher.run().map_err(SessionError::Launch)?,
@@ -793,11 +799,18 @@ impl SessionBuilder {
         }
         let wall_s = t0.elapsed().as_secs_f64();
 
-        let report = match engine {
-            Some(engine) => engine.finish(),
-            None => merged_slot.lock().take().ok_or_else(|| {
-                SessionError::Config("distributed merge produced no report".into())
-            })?,
+        let merged = merged_slot.lock().take();
+        let report = match (engine, merged) {
+            (Some(engine), _) => engine.finish(),
+            (None, Some(merged)) => merged,
+            // A worker process hosts no analyzer rank: its report is the
+            // empty one `run_multiproc` documents.
+            (None, None) if !hosts_analyzer => MultiReport { apps: Vec::new() },
+            (None, None) => {
+                return Err(SessionError::Config(
+                    "distributed merge produced no report".into(),
+                ))
+            }
         };
         let mut recorders = Arc::try_unwrap(recorders)
             .map(|m| m.into_inner())

@@ -10,15 +10,17 @@
 //!
 //! # Wire format
 //!
-//! `[len: u32 LE][fnv1a32(payload): u32 LE][payload]`
+//! `[len: u32 LE][checksum(payload): u32 LE][payload]`
 //!
-//! The checksum turns byte corruption into a typed
+//! The checksum ([`checksum`]) turns byte corruption into a typed
 //! [`FrameError::Corrupt`] instead of a downstream decode failure (or,
-//! worse, a silently wrong record). A length field above
-//! [`MAX_FRAME_LEN`] is rejected as [`FrameError::Oversize`] *before* the
-//! reassembly buffer would try to accumulate it, so a corrupted length
-//! cannot make the reader buffer gigabytes waiting for a frame that will
-//! never complete. Both errors poison the [`FrameBuf`]: framing has no
+//! worse, a silently wrong record). It is word-parallel so that checking
+//! a frame costs about as much as copying it: the sender stamps every
+//! frame once and the receiver verifies every frame once. A length
+//! field above [`MAX_FRAME_LEN`] is rejected as [`FrameError::Oversize`]
+//! *before* the reassembly buffer would try to accumulate it, so a
+//! corrupted length cannot make the reader buffer gigabytes waiting for
+//! a frame that will never complete. Both errors poison the [`FrameBuf`]: framing has no
 //! resynchronization marker, so after a corrupt header every later byte
 //! offset is suspect and the stream must be torn down (the transport
 //! layer underneath already retries/reorders, so a poisoned buffer means
@@ -68,16 +70,110 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// FNV-1a, 32-bit: tiny, dependency-free, adequate for detecting the
-/// random corruption the chaos harness injects (this is an integrity
-/// check, not an authenticity one).
-pub fn fnv1a32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// Multiplier of the lane steps. Odd, so `(lane ^ word) * LANE_MUL` is a
+/// bijection of the lane for a fixed word and of the word for a fixed
+/// lane.
+const LANE_MUL: u32 = 0x9E37_79B1;
+/// Distinct starting values of the eight lanes.
+const LANE_SEED: [u32; 8] = [
+    0x243F_6A88,
+    0x85A3_08D3,
+    0x1319_8A2E,
+    0x0370_7344,
+    0xA409_3822,
+    0x299F_31D0,
+    0x082E_FA98,
+    0xEC4E_6C89,
+];
+/// Multiplier of the byte-wise tail steps (odd, as above).
+const TAIL_MUL: u32 = 0x0100_0193;
+
+/// The frame integrity check: a 32-bit, word-parallel multiply-xor sum.
+///
+/// Eight independent lanes each absorb every eighth little-endian `u32`
+/// word of the payload, so the lanes run in parallel and the check keeps
+/// pace with memory. The lanes are combined by xor of distinct
+/// rotations, the payload length is mixed in, the bytes past the last
+/// whole 32-byte block are folded in one at a time, and a final
+/// avalanche spreads every bit over the result.
+///
+/// Every step is a bijection of the running state and of the word or
+/// byte it absorbs, so a change to any one lane word or tail byte (in
+/// particular every single-bit flip and every single-byte overwrite)
+/// always changes the checksum. Broader corruption goes unnoticed with
+/// odds of about 2^-32. This is an integrity check against garbled or
+/// hostile bytes, not an authenticity one.
+pub fn checksum(payload: &[u8]) -> u32 {
+    let (blocks, tail) = payload.as_chunks::<32>();
+    let mut lanes = LANE_SEED;
+    for block in blocks {
+        let (words, _) = block.as_chunks::<4>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = (*lane ^ u32::from_le_bytes(*word)).wrapping_mul(LANE_MUL);
+        }
     }
-    h
+    // Frames never exceed MAX_FRAME_LEN, so the length fits in a u32.
+    let mut h = payload.len() as u32;
+    for (i, lane) in lanes.iter().enumerate() {
+        h ^= lane.rotate_left(4 * i as u32);
+    }
+    for &b in tail {
+        h = (h ^ b as u32).wrapping_mul(TAIL_MUL);
+    }
+    // Avalanche (MurmurHash3's 32-bit finalizer, a bijection).
+    h ^= h >> 16;
+    h = h.wrapping_mul(0x85EB_CA6B);
+    h ^= h >> 13;
+    h = h.wrapping_mul(0xC2B2_AE35);
+    h ^ (h >> 16)
+}
+
+/// A frame built in place: the header is reserved up front, the payload
+/// is appended after it (through [`BufMut`]), and [`FrameBuilder::finish`]
+/// patches in the length and checksum. A caller that encodes a record
+/// straight into the builder frames it without a second copy.
+#[derive(Debug)]
+pub struct FrameBuilder {
+    buf: Vec<u8>,
+}
+
+impl FrameBuilder {
+    /// An empty frame with room for `payload` bytes of payload.
+    pub fn with_capacity(payload: usize) -> FrameBuilder {
+        let mut buf = Vec::with_capacity(HDR + payload);
+        buf.resize(HDR, 0);
+        FrameBuilder { buf }
+    }
+
+    /// The payload appended so far.
+    pub fn payload(&self) -> &[u8] {
+        self.buf.get(HDR..).unwrap_or_default()
+    }
+
+    /// Stamps the header and returns the complete wire frame.
+    ///
+    /// Returns [`FrameError::TooLarge`] when the payload exceeds
+    /// [`MAX_FRAME_LEN`].
+    pub fn finish(mut self) -> Result<Bytes, FrameError> {
+        let len = self.payload().len();
+        if len > MAX_FRAME_LEN {
+            return Err(FrameError::TooLarge {
+                len,
+                max: MAX_FRAME_LEN,
+            });
+        }
+        let check = checksum(self.payload());
+        // `with_capacity` reserved the header, so both ranges exist.
+        self.buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[4..HDR].copy_from_slice(&check.to_le_bytes());
+        Ok(Bytes::from(self.buf))
+    }
+}
+
+impl BufMut for FrameBuilder {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.buf.extend_from_slice(src);
+    }
 }
 
 /// Length-prefixes and checksums a payload for transport over a byte
@@ -94,11 +190,9 @@ pub fn try_frame(payload: &[u8]) -> Result<Bytes, FrameError> {
             max: MAX_FRAME_LEN,
         });
     }
-    let mut out = BytesMut::with_capacity(HDR + payload.len());
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(fnv1a32(payload));
+    let mut out = FrameBuilder::with_capacity(payload.len());
     out.put_slice(payload);
-    Ok(out.freeze())
+    out.finish()
 }
 
 /// Infallible framing for payloads whose size the caller bounds itself.
@@ -158,7 +252,7 @@ impl FrameBuf {
         let Some(payload) = body.get(..len) else {
             return Ok(None);
         };
-        let found = fnv1a32(payload);
+        let found = checksum(payload);
         if found != expected {
             return Err(self.poison(FrameError::Corrupt { expected, found }));
         }

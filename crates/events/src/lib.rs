@@ -29,7 +29,7 @@ pub use compress::{
     decompress, decompress_into, max_compressed_len, CompressError, Compression, Lz4Encoder,
 };
 pub use event::{Event, EventKind};
-pub use frame::{frame, try_frame, FrameBuf, FrameError, MAX_FRAME_LEN};
+pub use frame::{checksum, frame, try_frame, FrameBuf, FrameBuilder, FrameError, MAX_FRAME_LEN};
 pub use pack::{
     EventPack, PackEncoding, PackHeader, DELTA_EVENT_MAX_WIRE_SIZE, EVENT_WIRE_SIZE,
     PACK_HEADER_SIZE,

@@ -64,10 +64,10 @@ use crate::launch::{spawn_and_join, LaunchError, Launcher, Universe};
 use crate::mailbox::{Delivery, Mailbox};
 use crate::transport::Transport;
 use crate::{CommId, Result, RtError};
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use opmr_events::{
-    decompress_into, max_compressed_len, try_frame, Compression, FrameBuf, Lz4Encoder,
-    MAX_FRAME_LEN,
+    decompress_into, max_compressed_len, try_frame, Compression, FrameBuf, FrameBuilder,
+    Lz4Encoder, MAX_FRAME_LEN,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -464,7 +464,8 @@ impl From<LaunchError> for MultiprocError {
 
 // ---------------------------------------------------------------------
 // Wire format. Every message is an `opmr-events` frame
-// (`[len u32][fnv1a32 u32][payload]`); payload byte 0 is the kind.
+// (`[len u32][checksum u32][payload]`, see `opmr_events::frame`);
+// payload byte 0 is the kind.
 // ---------------------------------------------------------------------
 
 const MAGIC: u32 = 0x4F50_4D52; // "OPMR"
@@ -517,19 +518,20 @@ fn ctx_from_u8(b: u8) -> Option<Context> {
     }
 }
 
+/// Bytes of an encoded envelope before its payload.
+const ENVELOPE_HDR: usize = 26;
+
 /// `[kind][ctx u8][tag i32][comm u64][src_local u32][src_world u32][dst u32][payload]`
-fn encode_envelope(dst_world: usize, env: &Envelope) -> Vec<u8> {
+fn encode_envelope(out: &mut impl BufMut, dst_world: usize, env: &Envelope) {
     let h = &env.header;
-    let mut out = Vec::with_capacity(26 + env.payload.len());
-    out.push(K_ENVELOPE);
-    out.push(ctx_to_u8(h.ctx));
-    out.extend_from_slice(&h.tag.to_le_bytes());
-    out.extend_from_slice(&h.comm.0.to_le_bytes());
-    out.extend_from_slice(&(h.src_local as u32).to_le_bytes());
-    out.extend_from_slice(&(h.src_world as u32).to_le_bytes());
-    out.extend_from_slice(&(dst_world as u32).to_le_bytes());
-    out.extend_from_slice(&env.payload);
-    out
+    out.put_u8(K_ENVELOPE);
+    out.put_u8(ctx_to_u8(h.ctx));
+    out.put_i32_le(h.tag);
+    out.put_u64_le(h.comm.0);
+    out.put_u32_le(h.src_local as u32);
+    out.put_u32_le(h.src_world as u32);
+    out.put_u32_le(dst_world as u32);
+    out.put_slice(&env.payload);
 }
 
 fn decode_envelope(p: &Bytes) -> Option<(usize, Envelope)> {
@@ -1024,10 +1026,16 @@ fn read_one_frame(
     }
 }
 
+/// Frames a payload and writes it (handshake and reconnect traffic).
 fn write_frame(stream: &mut SockStream, payload: &[u8]) -> std::io::Result<()> {
     let framed = try_frame(payload)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    stream.write_all(&framed)?;
+    write_framed(stream, &framed)
+}
+
+/// Writes one already framed message.
+fn write_framed(stream: &mut SockStream, framed: &[u8]) -> std::io::Result<()> {
+    stream.write_all(framed)?;
     obs::m().frames_sent.inc();
     obs::m().bytes_sent.add(framed.len() as u64);
     Ok(())
@@ -1304,8 +1312,9 @@ struct LinkState {
     tx_seq: u64,
     /// Sequence number of the front of `tx_buf` (last acked frame count).
     tx_base: u64,
-    /// Unacknowledged data-frame payloads, sequences `tx_base..tx_seq`.
-    tx_buf: VecDeque<Vec<u8>>,
+    /// Unacknowledged data frames, sequences `tx_base..tx_seq`: the
+    /// exact wire bytes, so a retransmit rewrites them unchanged.
+    tx_buf: VecDeque<Bytes>,
     /// Stream generation: bumped every time a new stream is installed.
     /// A reader thread carries the generation it was spawned for, so a
     /// stale reader's exit cannot tear down its successor.
@@ -1566,18 +1575,19 @@ impl SocketTransport {
 
     /// Sends one *data* frame on a link: sequenced, buffered for
     /// retransmission, written through if the stream is up — silently
-    /// queued while a reconnect is in flight.
-    fn send_data(&self, link: &Arc<Link>, payload: &[u8]) -> std::result::Result<(), ()> {
+    /// queued while a reconnect is in flight. The caller frames the
+    /// message before the link lock is taken.
+    fn send_data(&self, link: &Arc<Link>, frame: &Bytes) -> std::result::Result<(), ()> {
         if link.lost.load(Ordering::Acquire) {
             return Err(());
         }
         let mut st = link.state.lock();
         st.tx_seq += 1;
-        st.tx_buf.push_back(payload.to_vec());
+        st.tx_buf.push_back(frame.clone());
         if st.writer.is_some() {
             let severed_now = self.chaos_should_sever(link.proc, &mut st);
             let write_failed = match st.writer.as_mut() {
-                Some(w) => write_frame(w, payload).is_err(),
+                Some(w) => write_framed(w, frame).is_err(),
                 None => false,
             };
             if write_failed || severed_now {
@@ -1633,35 +1643,46 @@ impl SocketTransport {
         }
     }
 
-    /// Wraps an encoded envelope in a `K_ENVELOPE_Z` frame when the
-    /// session codec is LZ4 and compression actually wins. Runs *before*
-    /// `send_data` so the retransmit buffer holds the exact wire bytes —
-    /// a retransmitted frame is bit-identical to the original send.
-    fn maybe_compress_envelope(&self, payload: Vec<u8>) -> Vec<u8> {
-        if self.codec.get() != Some(&Compression::Lz4) || payload.len() < MIN_ENVELOPE_COMPRESS {
-            return payload;
+    /// Frames one envelope: encoded straight into the frame, and
+    /// re-framed as `K_ENVELOPE_Z` when the session codec is LZ4 and
+    /// compression actually wins. Runs before `send_data` takes the link
+    /// lock; the retransmit buffer keeps the resulting wire bytes, so a
+    /// retransmitted frame is bit-identical to the original send.
+    fn envelope_frame(
+        &self,
+        dst_world: usize,
+        env: &Envelope,
+    ) -> std::result::Result<Bytes, opmr_events::FrameError> {
+        let mut plain = FrameBuilder::with_capacity(ENVELOPE_HDR + env.payload.len());
+        encode_envelope(&mut plain, dst_world, env);
+        let n = plain.payload().len();
+        if self.codec.get() != Some(&Compression::Lz4) || n < MIN_ENVELOPE_COMPRESS {
+            return plain.finish();
         }
         thread_local! {
             static ENC: std::cell::RefCell<Lz4Encoder> =
                 std::cell::RefCell::new(Lz4Encoder::new());
         }
-        let mut out = Vec::with_capacity(1 + max_compressed_len(payload.len()));
-        out.push(K_ENVELOPE_Z);
-        ENC.with(|enc| enc.borrow_mut().compress(&payload, &mut out));
-        if out.len() < payload.len() {
+        let mut packed = FrameBuilder::with_capacity(1 + max_compressed_len(n));
+        packed.put_u8(K_ENVELOPE_Z);
+        ENC.with(|enc| enc.borrow_mut().compress(plain.payload(), &mut packed));
+        if packed.payload().len() < n {
             obs::m().envelopes_compressed.inc();
-            out
+            packed.finish()
         } else {
-            payload
+            plain.finish()
         }
     }
 
     /// Sends one *link* frame (ack / reconnect control): unsequenced,
     /// never buffered, errors ignored (the reader notices real loss).
     fn send_link_frame(&self, link: &Arc<Link>, payload: &[u8]) {
+        let Ok(frame) = try_frame(payload) else {
+            return;
+        };
         let mut st = link.state.lock();
         if let Some(w) = st.writer.as_mut() {
-            if write_frame(w, payload).is_err() {
+            if write_framed(w, &frame).is_err() {
                 if let Some(w) = st.writer.take() {
                     w.shutdown_both();
                 }
@@ -1669,9 +1690,13 @@ impl SocketTransport {
         }
     }
 
+    /// Sends one control message to every peer, framed once.
     fn broadcast(&self, payload: &[u8]) {
+        let Ok(frame) = try_frame(payload) else {
+            return;
+        };
         for link in self.all_links() {
-            let _ = self.send_data(link, payload);
+            let _ = self.send_data(link, &frame);
         }
     }
 
@@ -1994,8 +2019,8 @@ impl SocketTransport {
                 }
                 st.tx_base += 1;
             }
-            for payload in st.tx_buf.iter() {
-                if write_frame(&mut s, payload).is_err() {
+            for frame in st.tx_buf.iter() {
+                if write_framed(&mut s, frame).is_err() {
                     return Err(false);
                 }
                 obs::m().frames_retransmitted.inc();
@@ -2182,8 +2207,10 @@ impl Transport for SocketTransport {
         let link = self
             .link(proc)
             .ok_or(RtError::Protocol("no connection to destination process"))?;
-        let payload = self.maybe_compress_envelope(encode_envelope(dst_world, &env));
-        if self.send_data(link, &payload).is_err() {
+        let frame = self
+            .envelope_frame(dst_world, &env)
+            .map_err(|_| RtError::Protocol("envelope exceeds the maximum frame size"))?;
+        if self.send_data(link, &frame).is_err() {
             return Err(RtError::Dropped { dst: dst_world });
         }
         Ok(Delivery::Complete)
@@ -2387,7 +2414,9 @@ mod tests {
             0x0500_0001,
             Bytes::from(vec![9u8; 300]),
         );
-        let wire = Bytes::from(encode_envelope(11, &env));
+        let mut wire = Vec::new();
+        encode_envelope(&mut wire, 11, &env);
+        let wire = Bytes::from(wire);
         let (dst, back) = decode_envelope(&wire).unwrap();
         assert_eq!(dst, 11);
         assert_eq!(back.header, env.header);

@@ -18,7 +18,8 @@ mod common;
 use common::fresh_unix_endpoint;
 
 use opmr::analysis::report::stable_digest;
-use opmr::core::{Session, SessionBuilder, SessionError, SessionOutcome};
+use opmr::core::{Coupling, Session, SessionBuilder, SessionError, SessionOutcome};
+use opmr::reduce::ReduceOp;
 use opmr::runtime::{Endpoint, SocketConfig, Src, TagSel};
 use std::time::Duration;
 
@@ -89,6 +90,43 @@ fn socket_session_report_is_byte_identical_to_inproc() {
             .iter()
             .all(|a| a.events == 0 && a.packs == 0),
         "only process 0 (which hosts the engine) observes events"
+    );
+}
+
+// ---------------------------------------------------------------------
+// In-network aggregation across processes: the merged report lands on
+// process 0 (which hosts the tree root), and a worker process, which
+// hosts no analyzer rank, returns the empty report instead of an error.
+// ---------------------------------------------------------------------
+#[test]
+fn tbon_aggregate_session_spans_processes() {
+    let direct = demo_session().run().expect("in-process session");
+    let want = stable_digest(&direct.report);
+
+    let tbon = || {
+        demo_session()
+            .analyzer_ranks(3)
+            .coupling(Coupling::Tbon { fanout: 2 })
+            .reduce_op(ReduceOp::Aggregate)
+    };
+    let endpoint = fresh_unix_endpoint("tbon-aggregate");
+    let worker = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || tbon().run_multiproc(socket_cfg(endpoint), 1, 2))
+    };
+    let root = tbon()
+        .run_multiproc(socket_cfg(endpoint), 0, 2)
+        .expect("tbon session, process 0");
+    let remote = worker.join().unwrap().expect("tbon session, process 1");
+
+    assert_eq!(
+        stable_digest(&root.report),
+        want,
+        "in-network aggregation over a socket mesh must match the Direct report"
+    );
+    assert!(
+        remote.report.apps.is_empty(),
+        "the worker hosts no analyzer"
     );
 }
 
